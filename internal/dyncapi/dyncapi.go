@@ -143,9 +143,10 @@ type Report struct {
 //
 // A Runtime is safe for concurrent use: XRay handler execution (events
 // firing on every rank) may overlap with Reconfigure. The full resolution
-// table (byID) is immutable after New; the handler looks up the *currently
-// selected* subset through an atomically swapped map, and all mutating
-// operations (Reconfigure) serialize on an internal mutex.
+// table (byID) is immutable after New; the handler classifies every event
+// against the currently published selection (one atomically swapped
+// pointer carrying the active set and the latest deselected set), and all
+// mutating operations (Reconfigure) serialize on an internal mutex.
 type Runtime struct {
 	proc *obj.Process
 	xr   *xray.Runtime
@@ -174,18 +175,11 @@ type Runtime struct {
 	reconfigs  int        //capi:guardedby mu
 	reconfigNs int64      //capi:guardedby mu
 
-	// active holds the map[int32]*ResolvedFunc of currently selected
-	// functions. The handler loads it atomically on every event;
-	// Reconfigure swaps in a fresh map (copy-on-write), so in-flight events
-	// for freshly deselected functions are dropped instead of racing the
-	// sled rewrite.
-	active atomic.Value
-
-	// deselected holds the map[int32]struct{} of functions removed by the
-	// most recent Reconfigure, so the handler can tell a deselected
-	// in-flight drop apart from a spurious event for an unpatched-but-known
-	// function. Swapped atomically alongside active.
-	deselected atomic.Value
+	// sel is the published selection. The handler loads it once per
+	// event; Reconfigure publishes a fresh one (copy-on-write), so in-flight
+	// events for freshly deselected functions are dropped instead of racing
+	// the sled rewrite.
+	sel atomic.Pointer[selection]
 
 	// droppedInFlight counts events that arrived for functions removed by
 	// the latest re-selection — the window between publishing the new
@@ -218,6 +212,15 @@ type Runtime struct {
 	// New before the handler is installed and never reassigned, so handlers
 	// and accessors may read it without synchronization.
 	pipe *pipeline
+}
+
+// selection is one published function selection: the active set, plus the
+// functions the re-selection that published it removed, so the handler can
+// tell a deselected in-flight drop apart from a spurious event for an
+// unpatched-but-known function. Both maps are immutable once published.
+type selection struct {
+	active     map[int32]*ResolvedFunc
+	deselected map[int32]struct{}
 }
 
 // backendBox wraps the backend interface value for atomic.Value, which
@@ -268,7 +271,7 @@ func New(proc *obj.Process, xr *xray.Runtime, cfg *ic.Config, backend Backend, o
 	if opts.Async {
 		rt.pipe = newPipeline(rt, opts.Ranks, opts.AsyncBuf)
 	}
-	rt.installHandler()
+	rt.xr.SetHandler(rt.dispatch)
 	return rt, nil
 }
 
@@ -451,37 +454,30 @@ func (rt *Runtime) patch() error {
 	}
 	rt.report.Patched = len(ids)
 	rt.report.InitVirtualNs += int64(len(ids)) * rt.opts.Costs.PerPatch
-	rt.active.Store(want)
+	rt.sel.Store(&selection{active: want})
 	return nil
 }
 
-func (rt *Runtime) installHandler() {
-	if rt.pipe != nil {
-		rt.xr.SetHandler(rt.dispatchAsync)
-		return
-	}
-	rt.xr.SetHandler(rt.dispatch)
-}
-
-// dispatch is the XRay event handler — the per-event hot path: active-set
-// lookup, drop classification, sampler admission, backend delivery. Two
-// atomic loads plus two map reads on the fast path; everything it calls
-// stays allocation- and lock-free (the lint hotpath analyzer walks it from
-// this annotation).
+// dispatch is the XRay event handler — the per-event hot path: selection
+// lookup, drop classification, sampler admission, then delivery to the
+// backend chain (inline mode) or an append to the rank's ring (async mode,
+// pipeline.go). One atomic load plus one map read on the fast path;
+// everything it calls stays allocation- and lock-free (the lint hotpath
+// analyzer walks it from this annotation). The sampling decision is made
+// here in both modes, so the pairing stacks see every event in program
+// order and the conservation identity survives asynchrony.
 //
 //capi:hotpath
 func (rt *Runtime) dispatch(tc xray.ThreadCtx, id int32, kind xray.EntryType) {
-	m, _ := rt.active.Load().(map[int32]*ResolvedFunc)
-	rf := m[id]
+	sel := rt.sel.Load()
+	rf := sel.active[id]
 	if rf == nil {
 		if rt.byID[id] != nil {
-			if d, _ := rt.deselected.Load().(map[int32]struct{}); d != nil {
-				if _, ok := d[id]; ok {
-					rt.droppedInFlight.Add(1)
-					return
-				}
+			if _, ok := sel.deselected[id]; ok {
+				rt.droppedInFlight.Add(1)
+			} else {
+				rt.droppedUnpatched.Add(1)
 			}
-			rt.droppedUnpatched.Add(1)
 		}
 		return
 	}
@@ -501,48 +497,21 @@ func (rt *Runtime) dispatch(tc xray.ThreadCtx, id int32, kind xray.EntryType) {
 	if st != nil && !st.admit(tc, kind) {
 		return
 	}
-	backend := rt.loadBackend()
-	if kind == xray.Entry {
-		backend.OnEnter(tc, rf)
-	} else {
-		backend.OnExit(tc, rf)
+	if rt.pipe != nil {
+		rt.pipe.append(tc, rf, kind)
+		return
 	}
+	deliver(rt.loadBackend(), tc, rf, kind)
 }
 
-// dispatchAsync is the XRay event handler in async mode: the same active-set
-// lookup, drop classification and sampler admission as dispatch, but instead
-// of running the backend chain it appends a fixed-size record to the rank's
-// ring (pipeline.go) and returns — the backends consume off the hot path.
-// The sampling decision is still made here, synchronously, so the pairing
-// stacks see every event in program order and the conservation identity
-// survives asynchrony.
-//
-//capi:hotpath
-func (rt *Runtime) dispatchAsync(tc xray.ThreadCtx, id int32, kind xray.EntryType) {
-	m, _ := rt.active.Load().(map[int32]*ResolvedFunc)
-	rf := m[id]
-	if rf == nil {
-		if rt.byID[id] != nil {
-			if d, _ := rt.deselected.Load().(map[int32]struct{}); d != nil {
-				if _, ok := d[id]; ok {
-					rt.droppedInFlight.Add(1)
-					return
-				}
-			}
-			rt.droppedUnpatched.Add(1)
-		}
-		return
+// deliver hands one event to a backend chain: the delivery tail shared by
+// inline dispatch, the async consumer and its cold overflow-rank fallback.
+func deliver(b Backend, tc xray.ThreadCtx, rf *ResolvedFunc, kind xray.EntryType) {
+	if kind == xray.Entry {
+		b.OnEnter(tc, rf)
+	} else {
+		b.OnExit(tc, rf)
 	}
-	st := rf.sample.Load()
-	if st == nil {
-		if dp := rt.defaultSample.Load(); dp != nil {
-			st = rt.lazySampleState(rf, dp)
-		}
-	}
-	if st != nil && !st.admit(tc, kind) {
-		return
-	}
-	rt.pipe.append(tc, rf, kind)
 }
 
 // ReconfigReport summarizes one live re-selection (Reconfigure call).
@@ -609,7 +578,7 @@ func (rt *Runtime) Reconfigure(cfg *ic.Config) (ReconfigReport, error) {
 	defer rt.mu.Unlock()
 
 	want := rt.wantSet(cfg, false)
-	cur, _ := rt.active.Load().(map[int32]*ResolvedFunc)
+	cur := rt.sel.Load().active
 	var toPatch, toUnpatch []int32
 	kept := 0
 	for id := range want {
@@ -637,15 +606,14 @@ func (rt *Runtime) Reconfigure(cfg *ic.Config) (ReconfigReport, error) {
 
 	// Publish the new selection first: deselected functions go silent now,
 	// newly selected ones only produce events once their sleds are patched.
-	// The deselected set is published before the active set so a handler
+	// The active and deselected sets are published together, so a handler
 	// observing the new selection always classifies a straggler as an
 	// in-flight drop, never as a spurious sled hit.
 	desel := make(map[int32]struct{}, len(toUnpatch))
 	for _, id := range toUnpatch {
 		desel[id] = struct{}{}
 	}
-	rt.deselected.Store(desel)
-	rt.active.Store(want)
+	rt.sel.Store(&selection{active: want, deselected: desel})
 	if len(toUnpatch) > 0 {
 		d, err := rt.xr.PatchBatch(toUnpatch, false)
 		rep.Batch.Add(d)
@@ -776,8 +744,7 @@ func (rt *Runtime) Snapshot() Snapshot {
 		}
 	}
 	rt.mu.Unlock()
-	m, _ := rt.active.Load().(map[int32]*ResolvedFunc)
-	snap.Active = len(m)
+	snap.Active = len(rt.sel.Load().active)
 	snap.Patched = rt.report.Patched
 	snap.InitVirtualNs = rt.report.InitVirtualNs
 	snap.DroppedInFlight = rt.droppedInFlight.Load()
@@ -862,7 +829,7 @@ func (rt *Runtime) SwapBackend(b Backend) (BackendSwapReport, error) {
 	// re-selection path tolerates), not against every event dispatched
 	// while N OnDeselect calls run.
 	rt.backend.Store(backendBox{b})
-	active, _ := rt.active.Load().(map[int32]*ResolvedFunc)
+	active := rt.sel.Load().active
 	for _, nd := range deselectors(old) {
 		if keep[any(nd.ds)] {
 			// Staying attached: its open state remains live in the new chain.
@@ -932,8 +899,7 @@ func (rt *Runtime) Config() *ic.Config {
 
 // Active reports whether the function is in the current selection.
 func (rt *Runtime) Active(id int32) bool {
-	m, _ := rt.active.Load().(map[int32]*ResolvedFunc)
-	return m[id] != nil
+	return rt.sel.Load().active[id] != nil
 }
 
 // FuncStride returns the function's effective 1-in-N delivery stride:
@@ -961,20 +927,18 @@ func (rt *Runtime) FuncStride(id int32) int {
 
 // ActiveIDs returns the packed IDs of the current selection, sorted.
 func (rt *Runtime) ActiveIDs() []int32 {
-	m, _ := rt.active.Load().(map[int32]*ResolvedFunc)
-	return sortedIDs(m)
+	return sortedIDs(rt.sel.Load().active)
 }
 
 // ActiveCount returns the current selection size.
 func (rt *Runtime) ActiveCount() int {
-	m, _ := rt.active.Load().(map[int32]*ResolvedFunc)
-	return len(m)
+	return len(rt.sel.Load().active)
 }
 
 // ActiveFuncs returns the resolved records of the current selection, sorted
 // by packed ID.
 func (rt *Runtime) ActiveFuncs() []*ResolvedFunc {
-	m, _ := rt.active.Load().(map[int32]*ResolvedFunc)
+	m := rt.sel.Load().active
 	out := make([]*ResolvedFunc, 0, len(m))
 	for _, id := range sortedIDs(m) {
 		out = append(out, m[id])

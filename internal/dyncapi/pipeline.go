@@ -26,12 +26,13 @@
 // implemented mpiRanker) and one without.
 //
 // Back-pressure. The ring is bounded. Admission happens at enter events
-// only, and reserves one slot for the exit of every currently open appended
-// enter, so the exit of an appended enter always fits — pairs are appended
-// whole or dropped whole. A dropped enter records its decision in a per-rank
-// bit stack (mirroring the sampler's pairing stack) so the matching exit is
-// silently skipped, and increments the rank's DroppedAsync counter once per
-// dropped pair. The conservation identity therefore survives asynchrony:
+// only, and reserves one slot for the exit of every currently open enter,
+// so the exit of an appended enter always fits — pairs are appended whole
+// or dropped whole. Every enter records its appended/dropped decision in the
+// rank's pairing stack (pairStack, the type the sampler uses), so the exit
+// of a dropped enter is silently skipped at any nesting depth, and a
+// dropped enter increments the rank's DroppedAsync counter once per dropped
+// pair. The conservation identity therefore survives asynchrony:
 //
 //	enters == delivered + sampledOut + suppressed + collapsed + droppedAsync
 //
@@ -93,19 +94,20 @@ type pipeShard struct {
 	ring []asyncEvent // written by the rank goroutine, read by the consumer
 	mask uint64
 
-	// Producer-owned cache line: head plus the rank-goroutine-private
+	// Producer-owned cache lines: head plus the rank-goroutine-private
 	// admission state. cachedTail is the producer's last-seen consumer
 	// position — admission re-reads the shared tail only when the cached
 	// view says the ring is too full, keeping the common-case append off
-	// the consumer-written line entirely. depth counts open enters, bits
-	// records appended(1)/dropped(0) per open enter (bit 0 innermost);
-	// nesting deeper than 64 sheds the oldest frames, like the sampler's
-	// decision stack — the simulated workloads never approach that.
+	// the consumer-written line entirely. pairs records appended/dropped
+	// per open enter; frames holds the same frames' function IDs, so an
+	// exit can recognize frames left open by a function whose exit sled a
+	// re-selection restored mid-call (the stack spans every function of
+	// the rank, unlike the sampler's per-function stacks).
 	head       atomic.Uint64 // events appended (writer publishes after the slot write)
 	cachedTail uint64
-	depth      int
-	bits       uint64
-	_          [32]byte // keep the consumer-written tail off the producer's line
+	pairs      pairStack
+	frames     []int32
+	_          [64]byte // keep the consumer-written tail off the producer's lines
 
 	// Consumer-owned cache line.
 	tail atomic.Uint64 // events consumed (consumer publishes after delivery)
@@ -213,38 +215,24 @@ func (p *pipeline) append(tc xray.ThreadCtx, rf *ResolvedFunc, kind xray.EntryTy
 	head := s.head.Load()
 	if kind == xray.Entry {
 		// Reserve a slot for this enter, its exit, and the exit of every
-		// open appended enter (depth over-counts dropped opens — a safe,
-		// branch-free over-reservation). The free-slot check runs against
-		// the producer's cached view of the consumer position first and
-		// touches the shared tail only when that view says the ring is too
-		// full — the consumer can only have moved forward, never back.
-		s.depth++
-		s.bits <<= 1
-		if uint64(len(s.ring))-(head-s.cachedTail) < uint64(s.depth)+2 {
-			s.cachedTail = s.tail.Load()
-			if uint64(len(s.ring))-(head-s.cachedTail) < uint64(s.depth)+2 {
-				s.droppedPairs.Add(1)
-				return
-			}
+		// open enter (dropped opens are over-reserved — a safe, branch-free
+		// over-reservation).
+		admitted := s.fits(head, s.pairs.depth()+3)
+		//capi:hotpath-ok amortized per-rank frame stack: grows to the rank's max nesting depth once, then never again
+		s.frames = append(s.frames, rf.PackedID)
+		s.pairs.push(admitted)
+		if !admitted {
+			s.droppedPairs.Add(1)
+			return
 		}
-		s.bits |= 1
-	} else {
-		if s.depth > 0 {
-			appended := s.bits&1 == 1
-			s.bits >>= 1
-			s.depth--
-			if !appended {
-				return // its enter was dropped; the pair was counted there
-			}
-		} else if uint64(len(s.ring))-(head-s.cachedTail) == 0 {
-			s.cachedTail = s.tail.Load()
-			if uint64(len(s.ring))-(head-s.cachedTail) == 0 {
-				// An exit with no recorded enter (sled patched mid-call) and
-				// a full ring: drop it — there is no reservation to honor.
-				s.droppedExits.Add(1)
-				return
-			}
-		}
+	} else if appended, ok := s.popFrame(rf.PackedID); ok && !appended {
+		return // its enter was dropped; the pair was counted there
+	} else if !ok && !s.fits(head, s.pairs.depth()+1) {
+		// An exit with no recorded enter (sled patched mid-call) and no slot
+		// beyond the open enters' reservations: drop it — there is no
+		// reservation to honor.
+		s.droppedExits.Add(1)
+		return
 	}
 	ev := &s.ring[head&s.mask]
 	ev.timeNs = tc.Clock().Now()
@@ -269,18 +257,46 @@ func (p *pipeline) append(tc xray.ThreadCtx, rf *ResolvedFunc, kind xray.EntryTy
 	s.head.Store(head + 1)
 }
 
+// fits reports whether n ring slots are free. It checks the producer's
+// cached view of the consumer position first and re-reads the shared tail
+// only when that view says the ring is too full — the consumer can only
+// have moved forward, never back — keeping the common-case append off the
+// consumer-written line entirely.
+func (s *pipeShard) fits(head uint64, n int) bool {
+	if uint64(len(s.ring))-(head-s.cachedTail) >= uint64(n) {
+		return true
+	}
+	s.cachedTail = s.tail.Load()
+	return uint64(len(s.ring))-(head-s.cachedTail) >= uint64(n)
+}
+
+// popFrame closes the innermost open frame of function id and returns its
+// appended bit; ok is false when id has no open frame (an exit whose enter
+// the pipeline never saw). Frames above it belong to functions whose exit
+// sleds a re-selection restored mid-call: their exits never arrive, so they
+// are discarded.
+func (s *pipeShard) popFrame(id int32) (appended, ok bool) {
+	i := len(s.frames) - 1
+	for i >= 0 && s.frames[i] != id {
+		i--
+	}
+	if i < 0 {
+		return false, false
+	}
+	for len(s.frames) > i {
+		s.frames = s.frames[:len(s.frames)-1]
+		appended, _ = s.pairs.pop()
+	}
+	return appended, true
+}
+
 // deliverInline is the cold fallback for rank IDs without a shard: the event
 // runs through the backend chain on the executing goroutine, exactly like
 // inline mode.
 //
 //capi:coldpath
 func (rt *Runtime) deliverInline(tc xray.ThreadCtx, rf *ResolvedFunc, kind xray.EntryType) {
-	backend := rt.loadBackend()
-	if kind == xray.Entry {
-		backend.OnEnter(tc, rf)
-	} else {
-		backend.OnExit(tc, rf)
-	}
+	deliver(rt.loadBackend(), tc, rf, kind)
 }
 
 // consume is one pool worker's loop: drain every owned shard, sleep briefly
@@ -341,12 +357,7 @@ func (p *pipeline) drainShard(s *pipeShard) int {
 			s.bareCtx.clk.Jump(ev.timeNs)
 			tc = s.bareCtx
 		}
-		backend := rt.loadBackend()
-		if ev.kind == xray.Entry {
-			backend.OnEnter(tc, rf)
-		} else {
-			backend.OnExit(tc, rf)
-		}
+		deliver(rt.loadBackend(), tc, rf, ev.kind)
 		if (i+1-tail)&(asyncTailBatch-1) == 0 {
 			s.tail.Store(i + 1)
 		}

@@ -291,20 +291,18 @@ func (st *funcSampleState) policy() SamplePolicy {
 // single-writer — only the rank's own goroutine executes handlers for that
 // rank — and are mirrored into pub every samplePublishWindow enters.
 type sampleSlot struct {
-	// depth counts open invocations; bits is the deliver-decision stack
-	// (bit 0 = innermost open invocation). Nesting deeper than 64 sheds
-	// the oldest frames; the simulated workloads never approach that.
-	depth int
-	bits  uint64
+	// pairs is the deliver-decision stack, one frame per open invocation
+	// whose enter reached this slot.
+	pairs pairStack
 	// ctr counts enters on this rank (the stride counter; also the total
 	// enter count the mirrors publish).
 	ctr uint64
 	// starts is the enter-timestamp stack, pushed only for timed policies
 	// (min-duration / redundancy). Each entry packs the virtual timestamp,
-	// the 2-bit drop class and the frame's nesting depth
-	// (now<<18 | cls<<16 | depth) — the depth match is how an exit knows
-	// whether its enter pushed a timestamp, without the fast path paying
-	// for a second pairing stack. The packing caps a timestamp at 2^45
+	// the 2-bit drop class and the frame's nesting depth in pairs
+	// (now<<18 | cls<<16 | depth mod 2^16) — the depth match is how an exit
+	// knows whether its enter pushed a timestamp, without the fast path
+	// paying for a second pairing stack. The packing caps a timestamp at 2^45
 	// virtual ns (~9.8 virtual hours); rank clocks restart at zero every
 	// phase, so a single phase cannot approach it.
 	starts []int64
@@ -396,40 +394,35 @@ func (st *funcSampleState) admit(tc xray.ThreadCtx, kind xray.EntryType) bool {
 				sl.sampledOut++
 			}
 		}
-		// Record the decision so the matching exit follows it even if the
-		// policy changes in between (exact pairing across live rate
-		// changes).
-		sl.depth++
 		if flags&sampleFlagTimed != 0 {
 			deliver = st.admitTimedEnter(sl, tc, deliver)
 		}
-		sl.bits <<= 1
-		if deliver {
-			sl.bits |= 1
-		}
+		// Record the decision so the matching exit follows it even if the
+		// policy changes in between (exact pairing across live rate
+		// changes).
+		sl.pairs.push(deliver)
 		if sl.ctr&(samplePublishWindow-1) == 0 {
 			sl.publish()
 		}
 		return deliver
 	}
-	if sl.depth == 0 {
+	depth := sl.pairs.depth()
+	deliver, ok := sl.pairs.pop()
+	if !ok {
 		// The enter predates the sampler (policy installed mid-pair): it
 		// was delivered, so the exit must be too.
 		return true
 	}
-	deliver := sl.bits&1 == 1
-	if n := len(sl.starts); n > 0 && int(sl.starts[n-1]&sampleDepthMask) == sl.depth {
+	if n := len(sl.starts); n > 0 && sl.starts[n-1]&sampleDepthMask == int64(depth&sampleDepthMask) {
 		st.finishTimedExit(sl, tc)
 	}
-	sl.depth--
-	sl.bits >>= 1
 	return deliver
 }
 
 // admitTimedEnter is the out-of-line enter path for policies that need the
 // virtual clock (min-duration suppression, redundancy collapse). It pushes
-// the packed timestamp entry and refines the deliver decision. Called with
-// sl.depth already counting this frame.
+// the packed timestamp entry, tagged with the depth this frame will have
+// once its decision is pushed, and refines the deliver decision.
 func (st *funcSampleState) admitTimedEnter(sl *sampleSlot, tc xray.ThreadCtx, deliver bool) bool {
 	now := tc.Clock().Now()
 	minDur := st.minDur.Load()
@@ -456,7 +449,7 @@ func (st *funcSampleState) admitTimedEnter(sl *sampleSlot, tc xray.ThreadCtx, de
 	}
 	//capi:hotpath-ok amortized per-rank timestamp stack: grows to the rank's max nesting depth once, then never again
 	sl.starts = append(sl.starts,
-		now<<sampleStartShift|int64(cls)<<sampleClsShift|int64(sl.depth&sampleDepthMask))
+		now<<sampleStartShift|int64(cls)<<sampleClsShift|int64((sl.pairs.depth()+1)&sampleDepthMask))
 	return deliver
 }
 
