@@ -49,7 +49,8 @@ type (
 	MapModules = spec.MapLoader
 	// AdaptOptions tunes the live overhead-budget controller.
 	AdaptOptions = adapt.Options
-	// AdaptEpoch records one controller decision (per epoch boundary).
+	// AdaptEpoch records one controller decision or a span of quiet epoch
+	// boundaries.
 	AdaptEpoch = adapt.Epoch
 	// SLOStatus is the SLO-mode controller snapshot (per-endpoint tail
 	// latency vs. target, plus the ladder steps in effect).
@@ -364,8 +365,12 @@ type RunResult struct {
 	// demoted to 1-in-N sampling (the gentler knob it tries before
 	// deselection).
 	DemotedFuncs []string
-	// AdaptEpochs carries the controller's per-epoch decisions when
-	// RunOptions.Adapt was set.
+	// AdaptEpochs carries the controller's history when RunOptions.Adapt
+	// was set: cumulative over the instance's phases and append-only, so
+	// this phase's records are the ones past the previous result's length.
+	// Decisions are one record each; the quiet boundaries of a phase are
+	// coalesced into one record per run of them, its Span counting the
+	// boundaries covered (see AdaptEpoch).
 	AdaptEpochs []AdaptEpoch
 	// Sampling carries the sampler's exact end-of-phase counters and
 	// installed policies; nil when no sampling policy was ever installed.
@@ -1135,7 +1140,7 @@ func (i *Instance) Run() (*RunResult, error) {
 			}
 		}
 		if i.ctrl != nil {
-			i.ctrl.NewPhase()
+			i.ctrl.NewPhase(i.opts.Ranks)
 		}
 	}
 	i.curWorld = world

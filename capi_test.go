@@ -1,6 +1,7 @@
 package capi_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -386,6 +387,74 @@ func TestAdaptControllerStaysArmedAcrossPhases(t *testing.T) {
 	if len(res2.AdaptEpochs) <= len(res1.AdaptEpochs) {
 		t.Fatalf("controller dormant in phase 2: %d epochs then, %d now",
 			len(res1.AdaptEpochs), len(res2.AdaptEpochs))
+	}
+}
+
+// TestAdaptHistoryBounded pins the controller's history contract: quiet
+// epoch boundaries are coalesced into one record per phase (or per run of
+// them between decisions), Seq and Span still account for every boundary
+// evaluated, and the history each phase returns is append-only.
+func TestAdaptHistoryBounded(t *testing.T) {
+	s := newQuickSession(t)
+	inst, err := s.Start(nil, capi.RunOptions{Ranks: 2, PatchAll: true, Adapt: &capi.AdaptOptions{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Close()
+	const phases = 30
+	var prev []capi.AdaptEpoch
+	for phase := 1; phase <= phases; phase++ {
+		res, err := inst.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		eps := res.AdaptEpochs
+		if len(eps) <= len(prev) {
+			t.Fatalf("phase %d: %d records after %d — no boundary recorded", phase, len(eps), len(prev))
+		}
+		// NewPhase closed the previous phase's quiet span, so every record
+		// handed out before is final.
+		if len(prev) > 0 && !reflect.DeepEqual(eps[:len(prev)], prev) {
+			t.Fatalf("phase %d: the previous history is not an unchanged prefix", phase)
+		}
+		// Within a phase a quiet boundary extends the open quiet span, so
+		// two quiet records are never adjacent.
+		for i := len(prev) + 1; i < len(eps); i++ {
+			if eps[i-1].Quiet() && eps[i].Quiet() {
+				t.Fatalf("phase %d: records %d and %d are adjacent quiet spans", phase, i-1, i)
+			}
+		}
+		prev = eps
+	}
+
+	quiet, decisions, spans := 0, 0, 0
+	next := 1
+	for i, ep := range prev {
+		if ep.Seq != next || ep.Span < 1 {
+			t.Fatalf("record %d: Seq %d Span %d, want Seq %d and Span >= 1", i, ep.Seq, ep.Span, next)
+		}
+		next = ep.Seq + ep.Span
+		if !ep.Quiet() {
+			if ep.Span != 1 {
+				t.Fatalf("decision record %d spans %d boundaries", i, ep.Span)
+			}
+			decisions++
+			continue
+		}
+		quiet++
+		spans += ep.Span
+	}
+	last := prev[len(prev)-1]
+	t.Logf("%d records: %d quiet covering %d boundaries, %d decisions", len(prev), quiet, spans, decisions)
+	if evaluated := last.Seq + last.Span - 1; spans+decisions != evaluated {
+		t.Fatalf("quiet spans cover %d boundaries + %d decisions != %d evaluated", spans, decisions, evaluated)
+	}
+	// A quiet record opens at a phase start or after a decision.
+	if quiet > phases+decisions {
+		t.Fatalf("%d quiet records for %d phases and %d decisions", quiet, phases, decisions)
+	}
+	if spans <= quiet {
+		t.Fatalf("%d quiet records cover only %d boundaries: nothing was coalesced", quiet, spans)
 	}
 }
 

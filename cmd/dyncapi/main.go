@@ -156,6 +156,17 @@ func main() {
 	if runOpts.Adapt != nil {
 		fmt.Fprintf(os.Stderr, "dyncapi: adapt: %d live re-selections, %d functions active (of %d initially), %d dropped, %d demoted to sampling\n",
 			res.Reconfigs, res.ActiveFuncs, res.Patched, len(res.DroppedFuncs), len(res.DemotedFuncs))
+		boundaries, decisions := 0, 0
+		if n := len(res.AdaptEpochs); n > 0 {
+			last := res.AdaptEpochs[n-1]
+			boundaries = last.Seq + last.Span - 1
+		}
+		for _, ep := range res.AdaptEpochs {
+			if !ep.Quiet() {
+				decisions++
+			}
+		}
+		fmt.Fprintf(os.Stderr, "dyncapi: adapt: %d epoch boundaries evaluated, %d decisions\n", boundaries, decisions)
 		for _, ep := range res.AdaptEpochs {
 			if len(ep.Demoted) > 0 || len(ep.Promoted) > 0 {
 				fmt.Fprintf(os.Stderr, "dyncapi: adapt: epoch %d @%s on rank %d: demoted %d to 1-in-N, promoted %d back\n",

@@ -262,3 +262,51 @@ func TestHTTPServeConservationInterleavings(t *testing.T) {
 		})
 	}
 }
+
+// TestHTTPPhasesUnderSLOTraffic is the regression for the adapt
+// controller's phase reset racing request traffic: every Instance.Run
+// after the first re-arms the controller for a fresh world, and that reset
+// used to replace the open-invocation state of every rank, HTTP worker
+// ranks included, while their requests were entering and exiting
+// instrumented functions. Run with -race.
+func TestHTTPPhasesUnderSLOTraffic(t *testing.T) {
+	inst, svc := startWebService(t, capi.RunOptions{
+		PatchAll:    true,
+		Ranks:       2,
+		HTTPWorkers: 4,
+		Adapt:       &capi.AdaptOptions{SLOTargetP99Ns: int64(2 * time.Millisecond)},
+		Sampling:    &capi.SamplingOptions{Default: &capi.SamplingPolicy{Stride: 1}},
+	}, 4)
+
+	const drivers, perDriver = 4, 500
+	var wg sync.WaitGroup
+	for d := 0; d < drivers; d++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < perDriver; i++ {
+				if _, err := svc.Do(svc.RandomRoute(rng)); err != nil {
+					t.Errorf("do: %v", err)
+					return
+				}
+			}
+		}(int64(d + 1))
+	}
+	for phase := 0; phase < 3; phase++ {
+		if _, err := inst.Run(); err != nil {
+			t.Fatalf("phase %d: %v", phase+1, err)
+		}
+	}
+	wg.Wait()
+
+	inst.FlushSampling()
+	c := inst.Sampling().Counters
+	if c.Enters == 0 {
+		t.Fatal("sampler accounted no enters")
+	}
+	if got := c.Delivered + c.SampledEvents + c.SuppressedPairs + c.CollapsedCalls; got != c.Enters {
+		t.Fatalf("conservation broken: delivered %d + sampled %d + suppressed %d + collapsed %d = %d != enters %d",
+			c.Delivered, c.SampledEvents, c.SuppressedPairs, c.CollapsedCalls, got, c.Enters)
+	}
+}

@@ -131,15 +131,31 @@ type FuncStat struct {
 	MeanNs int64 // mean inclusive duration of completed outermost invocations (0 = none completed)
 }
 
-// Epoch records one control decision.
+// Epoch is one record of the controller's history: a decision, or a span
+// of quiet epoch boundaries.
+//
+// Every evaluated boundary (and every SLO-mode decision) takes the next
+// sequence number. A boundary that demotes, promotes, drops, re-adds and
+// re-selects nothing is quiet: it extends the previous record when that
+// record is a quiet span of the same phase, instead of appending one, so
+// the history grows with decisions and phases, not with boundaries.
+// Decisions are always recorded one per record, with Span 1.
+//
+// The history is cumulative and append-only: a record, once recorded, is
+// never changed — except the current phase's open quiet span, which keeps
+// growing until a decision is recorded or the next phase starts.
 type Epoch struct {
-	// Seq is the 1-based epoch number; AtNs and Rank identify the clock
-	// value and rank that triggered the boundary.
+	// Seq is the 1-based number of the first boundary the record covers
+	// and Span the number of boundaries it covers, so the next record's
+	// Seq is Seq+Span. AtNs and Rank identify the clock value and rank
+	// that triggered the record's last boundary.
 	Seq  int
+	Span int
 	AtNs int64
 	Rank int
 	// Events is the number of instrumentation events observed during the
-	// epoch; OverheadNs is their modelled cost, BudgetNs the allowance.
+	// covered epochs; OverheadNs is their modelled cost, BudgetNs the
+	// allowance (all three summed over a quiet span).
 	Events     int64
 	OverheadNs int64
 	BudgetNs   int64
@@ -164,6 +180,13 @@ type Epoch struct {
 	Readded  []string
 }
 
+// Quiet reports whether the record is a span of quiet boundaries: no
+// ladder step taken, no re-selection applied.
+func (ep *Epoch) Quiet() bool {
+	return !ep.Reconfigured &&
+		len(ep.Demoted)+len(ep.Promoted)+len(ep.Dropped)+len(ep.Readded) == 0
+}
+
 // funcStat is the controller's per-function accumulator.
 type funcStat struct {
 	name        string
@@ -171,7 +194,33 @@ type funcStat struct {
 	completions atomic.Int64 // completed outermost invocations
 	events      atomic.Int64
 	durNs       atomic.Int64 // inclusive ns of completed outermost invocations
+	// epochEvents counts the events of controller generation epochGen. An
+	// epoch boundary bumps the controller's generation instead of zeroing
+	// every function's counter: a stale stamp reads as 0 and is reset by
+	// the next increment. The reset is not atomic with concurrent
+	// increments from other ranks, so a count may lose the odd event at a
+	// boundary, and an event racing the bump may land in either window.
+	// The counts only order narrowing candidates and project their saving,
+	// so they need not be exact.
 	epochEvents atomic.Int64
+	epochGen    atomic.Uint64
+}
+
+// countEpoch adds one event to the counter of generation gen.
+func (st *funcStat) countEpoch(gen uint64) {
+	if st.epochGen.Load() != gen {
+		st.epochGen.Store(gen)
+		st.epochEvents.Store(0)
+	}
+	st.epochEvents.Add(1)
+}
+
+// epochCount returns the events counted in generation gen.
+func (st *funcStat) epochCount(gen uint64) int64 {
+	if st.epochGen.Load() != gen {
+		return 0
+	}
+	return st.epochEvents.Load()
 }
 
 // meanNs returns the mean inclusive duration of completed outermost
@@ -215,9 +264,15 @@ type Controller struct {
 	nextEpoch atomic.Int64
 	lastNs    atomic.Int64 // clock value of the previous evaluation
 	inEpoch   atomic.Bool
+	gen       atomic.Uint64 // epoch generation the funcStat counters belong to
 
-	mu        sync.Mutex
-	epochs    []Epoch  //capi:guardedby mu
+	mu     sync.Mutex
+	epochs []Epoch //capi:guardedby mu
+	// seq counts the boundaries evaluated (and SLO decisions); spanOpen
+	// tells whether the last record is a quiet span of the current phase
+	// that the next quiet boundary extends.
+	seq       int      //capi:guardedby mu
+	spanOpen  bool     //capi:guardedby mu
 	reconfigs int      //capi:guardedby mu
 	dropped   []string //capi:guardedby mu
 	// demoted is the LIFO of currently demoted functions (most recent
@@ -311,21 +366,25 @@ func (c *Controller) Retune(o Options) Options {
 }
 
 // NewPhase re-arms the controller for an execution phase whose rank clocks
-// restart at zero (a fresh world): the epoch boundary is reset, the event
-// window cleared and open invocations from the previous phase forgotten.
-// Call it only between phases, never while handlers are executing.
-func (c *Controller) NewPhase() {
+// restart at zero (a fresh world of worldRanks ranks): the epoch boundary
+// is reset, the event window cleared, the open quiet span closed and the
+// world ranks' open invocations from the previous phase forgotten. Call it
+// only while the world's ranks are not executing. Ranks past the world
+// (HTTP worker contexts) keep their state: they may be serving requests
+// concurrently, and their clocks do not restart.
+func (c *Controller) NewPhase(worldRanks int) {
 	c.nextEpoch.Store(c.opts.Load().Epoch)
 	c.lastNs.Store(0)
 	c.events.Store(0)
-	c.stats.Range(func(_, v any) bool {
-		v.(*funcStat).epochEvents.Store(0)
-		return true
-	})
-	c.ranks.Range(func(_, v any) bool {
-		v.(*rankState).open = map[int32]*openCall{}
-		return true
-	})
+	c.gen.Add(1)
+	c.mu.Lock()
+	c.spanOpen = false
+	c.mu.Unlock()
+	for id := 0; id < worldRanks; id++ {
+		if v, ok := c.ranks.Load(id); ok {
+			clear(v.(*rankState).open)
+		}
+	}
 }
 
 // Inner returns the wrapped measurement backend.
@@ -358,7 +417,7 @@ func (c *Controller) OnEnter(tc xray.ThreadCtx, fn *dyncapi.ResolvedFunc) {
 	st := c.stat(fn)
 	st.calls.Add(1)
 	st.events.Add(1)
-	st.epochEvents.Add(1)
+	st.countEpoch(c.gen.Load())
 	c.events.Add(1)
 	rs := c.rank(tc.RankID())
 	oc := rs.open[fn.PackedID]
@@ -378,7 +437,7 @@ func (c *Controller) OnEnter(tc xray.ThreadCtx, fn *dyncapi.ResolvedFunc) {
 func (c *Controller) OnExit(tc xray.ThreadCtx, fn *dyncapi.ResolvedFunc) {
 	st := c.stat(fn)
 	st.events.Add(1)
-	st.epochEvents.Add(1)
+	st.countEpoch(c.gen.Load())
 	c.events.Add(1)
 	rs := c.rank(tc.RankID())
 	if oc := rs.open[fn.PackedID]; oc != nil && oc.depth > 0 {
@@ -465,16 +524,32 @@ func (c *Controller) runEpoch(rt *dyncapi.Runtime, tc xray.ThreadCtx, now int64)
 		c.promote(rt, &ep)
 	}
 
-	// Reset the per-epoch counters for the next window.
-	c.stats.Range(func(_, v any) bool {
-		v.(*funcStat).epochEvents.Store(0)
-		return true
-	})
+	// Start the next window: every function's epoch counter goes stale.
+	c.gen.Add(1)
+	c.record(ep, ep.Quiet())
+}
 
+// record numbers one evaluated boundary (or SLO-mode decision) and adds it
+// to the history. A coalescable record extends the open quiet span, if
+// there is one, and otherwise opens a new span; any other record is
+// appended and closes the span. SLO-mode decisions never coalesce: each is
+// a record of its own, even one that found no step to take.
+func (c *Controller) record(ep Epoch, coalesce bool) {
 	c.mu.Lock()
-	ep.Seq = len(c.epochs) + 1
+	defer c.mu.Unlock()
+	c.seq++
+	if coalesce && c.spanOpen {
+		last := &c.epochs[len(c.epochs)-1]
+		last.Span++
+		last.AtNs, last.Rank = ep.AtNs, ep.Rank
+		last.Events += ep.Events
+		last.OverheadNs += ep.OverheadNs
+		last.BudgetNs += ep.BudgetNs
+		return
+	}
+	ep.Seq, ep.Span = c.seq, 1
 	c.epochs = append(c.epochs, ep)
-	c.mu.Unlock()
+	c.spanOpen = coalesce
 }
 
 // isDemoted reports whether the function sits on the demote ladder.
@@ -567,6 +642,7 @@ func (c *Controller) narrow(rt *dyncapi.Runtime, tc xray.ThreadCtx, ep *Epoch, e
 		meanNs      int64
 	}
 	active := rt.ActiveFuncs()
+	gen := c.gen.Load()
 	var cands []cand
 	for _, rf := range active {
 		v, ok := c.stats.Load(rf.PackedID)
@@ -574,7 +650,7 @@ func (c *Controller) narrow(rt *dyncapi.Runtime, tc xray.ThreadCtx, ep *Epoch, e
 			continue
 		}
 		st := v.(*funcStat)
-		ev := st.epochEvents.Load()
+		ev := st.epochCount(gen)
 		if ev == 0 {
 			continue
 		}
@@ -681,7 +757,8 @@ func (c *Controller) narrow(rt *dyncapi.Runtime, tc xray.ThreadCtx, ep *Epoch, e
 	}
 }
 
-// Epochs returns the recorded control decisions.
+// Epochs returns a copy of the history: decisions and quiet spans, in
+// order (see Epoch for the append-only contract).
 func (c *Controller) Epochs() []Epoch {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -1,6 +1,7 @@
 package adapt
 
 import (
+	"reflect"
 	"testing"
 
 	"capi/internal/compiler"
@@ -635,5 +636,93 @@ func TestResetLadderForgetsDemotions(t *testing.T) {
 	}
 	if !rt.Active(hot) {
 		t.Fatal("hot deselected after ladder reset")
+	}
+}
+
+// TestEpochCountersResetByGeneration: events counted before an epoch
+// boundary (or before a new phase) must not count toward the next
+// narrowing order. hot is the hotter function overall, but slow is the
+// hotter one in the over-budget window, so slow must be dropped.
+func TestEpochCountersResetByGeneration(t *testing.T) {
+	for _, viaPhase := range []bool{false, true} {
+		b, proc, xr, rt, ctrl := twoFuncSetup(t,
+			Options{Epoch: vtime.Millisecond, Budget: 0.01, MinMeanNs: vtime.Second, DemoteStride: -1},
+			&dyncapi.CygBackend{})
+		hot := packedOf(t, b, xr, proc, "hot")
+		slow := packedOf(t, b, xr, proc, "slow")
+		call := func(tc *fakeCtx, id int32, n int, ns int64) {
+			for i := 0; i < n; i++ {
+				xr.Dispatch(tc, id, xray.Entry)
+				tc.clk.Advance(ns)
+				xr.Dispatch(tc, id, xray.Exit)
+			}
+		}
+		tc := &fakeCtx{}
+		// 600 hot events, well under budget: either a 10ms window whose
+		// boundary is evaluated, or a phase that ends before any boundary.
+		call(tc, hot, 300, 100)
+		if viaPhase {
+			ctrl.NewPhase(1)
+			tc = &fakeCtx{}
+		} else {
+			tc.clk.Advance(10 * vtime.Millisecond)
+			call(tc, hot, 1, 100)
+		}
+		start := tc.clk.Now()
+		// Next window: 200 hot and 500 slow events over 1ms, over budget.
+		// Dropping slow alone absorbs the excess.
+		call(tc, hot, 100, 100)
+		call(tc, slow, 250, (vtime.Millisecond-100*100)/250)
+		if tc.clk.Now()-start < vtime.Millisecond {
+			t.Fatalf("window ended at %d, before its boundary", tc.clk.Now())
+		}
+		if dropped := ctrl.Dropped(); len(dropped) != 1 || dropped[0] != "slow" {
+			t.Fatalf("viaPhase=%v: dropped %v, want [slow]: earlier hot events counted toward the window", viaPhase, dropped)
+		}
+		if !rt.Active(hot) || rt.Active(slow) {
+			t.Fatalf("viaPhase=%v: wrong function deselected", viaPhase)
+		}
+	}
+}
+
+// TestQuietEpochsCoalesce: quiet boundaries extend one record per phase,
+// summing their events, overhead and budget; a decision or a new phase
+// closes the span, and Seq still numbers every boundary.
+func TestQuietEpochsCoalesce(t *testing.T) {
+	b, proc, xr, _, ctrl := twoFuncSetup(t,
+		Options{Epoch: vtime.Millisecond, Budget: 0.5, PromoteBelow: -1}, &dyncapi.CygBackend{})
+	hot := packedOf(t, b, xr, proc, "hot")
+	quietPhase := func(boundaries int) *fakeCtx {
+		tc := &fakeCtx{}
+		for i := 0; i < boundaries; i++ {
+			tc.clk.Advance(vtime.Millisecond)
+			xr.Dispatch(tc, hot, xray.Entry)
+			xr.Dispatch(tc, hot, xray.Exit)
+		}
+		return tc
+	}
+	quietPhase(4)
+	eps := ctrl.Epochs()
+	if len(eps) != 1 {
+		t.Fatalf("4 quiet boundaries: %d records, want 1", len(eps))
+	}
+	// Each boundary is evaluated on an entry, so the last exit belongs to
+	// the next, unevaluated window: 1 + 2 + 2 + 2 events.
+	ep := eps[0]
+	if ep.Seq != 1 || ep.Span != 4 || ep.Events != 7 || ep.OverheadNs != 7*25 || ep.AtNs != 4*vtime.Millisecond {
+		t.Fatalf("span = %+v, want Seq 1, Span 4, Events 7, AtNs 4ms", ep)
+	}
+	if ep.BudgetNs != 4*vtime.Millisecond/2 {
+		t.Fatalf("span budget = %d, want the four windows' sum %d", ep.BudgetNs, 4*vtime.Millisecond/2)
+	}
+
+	ctrl.NewPhase(1)
+	quietPhase(3)
+	eps = ctrl.Epochs()
+	if len(eps) != 2 || !reflect.DeepEqual(eps[0], ep) {
+		t.Fatalf("new phase did not close the span: %+v", eps)
+	}
+	if eps[1].Seq != 5 || eps[1].Span != 3 {
+		t.Fatalf("second phase span = Seq %d Span %d, want 5 and 3", eps[1].Seq, eps[1].Span)
 	}
 }

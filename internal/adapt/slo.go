@@ -227,7 +227,7 @@ func (c *Controller) sloNarrow(rt *dyncapi.Runtime, es *endpointStat, p99, targe
 		cands = append(cands, cd)
 	}
 	if len(cands) == 0 {
-		c.appendEpoch(ep)
+		c.record(ep, false)
 		return
 	}
 	// Same victim order as budget narrowing: low-duration functions first
@@ -261,7 +261,7 @@ func (c *Controller) sloNarrow(rt *dyncapi.Runtime, es *endpointStat, p99, targe
 			es.mu.Unlock()
 			ep.Demoted = append(ep.Demoted, displayName(cd.name, cd.id))
 			ep.DemotedIDs = append(ep.DemotedIDs, cd.id)
-			c.appendEpoch(ep)
+			c.record(ep, false)
 			return
 		}
 	}
@@ -273,7 +273,7 @@ func (c *Controller) sloNarrow(rt *dyncapi.Runtime, es *endpointStat, p99, targe
 	limited := opts.MaxReconfigs > 0 && c.reconfigs >= opts.MaxReconfigs
 	c.mu.Unlock()
 	if limited {
-		c.appendEpoch(ep)
+		c.record(ep, false)
 		return
 	}
 	victim := cands[0]
@@ -290,7 +290,7 @@ func (c *Controller) sloNarrow(rt *dyncapi.Runtime, es *endpointStat, p99, targe
 	}
 	rep, err := rt.Reconfigure(c.sloIC(rt, names).WithIncludeIDs(keepIDs))
 	if err != nil {
-		c.appendEpoch(ep)
+		c.record(ep, false)
 		return
 	}
 	ep.Dropped = append(ep.Dropped, displayName(victim.name, victim.id))
@@ -318,7 +318,7 @@ func (c *Controller) sloNarrow(rt *dyncapi.Runtime, es *endpointStat, p99, targe
 	es.mu.Lock()
 	es.actions = append(es.actions, sloAction{drop: true, id: victim.id, name: victim.name})
 	es.mu.Unlock()
-	c.appendEpoch(ep)
+	c.record(ep, false)
 }
 
 // sloWiden undoes the endpoint's most recent ladder step — max coverage
@@ -351,7 +351,7 @@ func (c *Controller) sloWiden(rt *dyncapi.Runtime, es *endpointStat, p99, target
 			}
 			c.mu.Unlock()
 			ep.Promoted = append(ep.Promoted, displayName(act.name, act.id))
-			c.appendEpoch(ep)
+			c.record(ep, false)
 		}
 		return
 	}
@@ -395,7 +395,7 @@ func (c *Controller) sloWiden(rt *dyncapi.Runtime, es *endpointStat, p99, target
 	ep.Readded = append(ep.Readded, displayName(act.name, act.id))
 	ep.Reconfigured = true
 	ep.Report = rep
-	c.appendEpoch(ep)
+	c.record(ep, false)
 }
 
 // sloIC builds the instrumentation configuration document for an SLO
@@ -410,13 +410,6 @@ func (c *Controller) sloIC(rt *dyncapi.Runtime, names []string) *ic.Config {
 		}
 	}
 	return ic.New(app, spec, names)
-}
-
-func (c *Controller) appendEpoch(ep Epoch) {
-	c.mu.Lock()
-	ep.Seq = len(c.epochs) + 1
-	c.epochs = append(c.epochs, ep)
-	c.mu.Unlock()
 }
 
 // SLOEndpoint is one endpoint row of the SLO status document.
